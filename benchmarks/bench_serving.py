@@ -97,7 +97,6 @@ def run_batched(
             max_batch_size=sessions,
             queue_capacity=4 * sessions,
             policy="block",
-            enable_cache=False,
         ),
     )
     ids = [server.open_session(f"bench-{i}") for i in range(sessions)]

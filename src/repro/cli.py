@@ -517,8 +517,6 @@ def _add_serve(subparsers) -> None:
     p.add_argument("--policy", default="drop-oldest",
                    choices=["block", "drop-oldest", "reject"],
                    help="backpressure policy when the queue fills")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the content-hash result cache")
     p.add_argument("--hop", type=int, default=1,
                    help="frames between emissions per session")
     p.add_argument("--shard-threads", type=int, default=0,
@@ -663,8 +661,6 @@ def _print_serve_report(
         "dropped": stats["queue"]["dropped"],
         "rejected": stats["queue"]["rejected"],
     }
-    if "cache" in stats:
-        fields["cache_hit_rate"] = stats["cache"]["hit_rate"]
     get_logger("serve").info(event, **fields)
 
 
@@ -744,7 +740,6 @@ def _cmd_serve(args) -> int:
         max_batch_size=args.batch_size,
         queue_capacity=args.queue_capacity,
         policy=args.policy,
-        enable_cache=not args.no_cache,
         hop_frames=args.hop,
         shard_threads=args.shard_threads,
         precision=args.precision,
@@ -766,8 +761,7 @@ def _cmd_serve(args) -> int:
 
     print(
         f"simulating {args.sessions} clients x {args.frames} frames "
-        f"(policy={args.policy}, batch<= {args.batch_size}, "
-        f"cache={'off' if args.no_cache else 'on'}"
+        f"(policy={args.policy}, batch<= {args.batch_size}"
         f"{', chaos=on' if injector is not None else ''})"
     )
     feeds = _simulated_client_frames(
@@ -899,7 +893,6 @@ def _cmd_serve_netfront(args) -> int:
             max_batch_size=args.batch_size,
             queue_capacity=args.queue_capacity,
             policy=args.policy,
-            enable_cache=not args.no_cache,
             hop_frames=args.hop,
             shard_threads=args.shard_threads,
             precision=args.precision,
@@ -967,7 +960,6 @@ def _cmd_serve_gateway(args) -> int:
             max_batch_size=args.batch_size,
             queue_capacity=args.queue_capacity,
             policy=args.policy,
-            enable_cache=not args.no_cache,
             hop_frames=args.hop,
             shard_threads=args.shard_threads,
             precision=args.precision,

@@ -150,10 +150,30 @@ class DspConfig:
             raise ConfigError("angle bins must be >= 2")
         if self.zoom_factor < 1:
             raise ConfigError("zoom_factor must be >= 1")
+        for name in ("azimuth_bins", "elevation_bins"):
+            bins = getattr(self, name)
+            evaluated = self.evaluated_angle_bins(bins)
+            if bins % evaluated:
+                raise ConfigError(
+                    f"{name}={bins} is not a multiple of the "
+                    f"{evaluated}-point grid evaluated at "
+                    f"zoom_factor={self.zoom_factor}"
+                )
         if self.segment_frames < 1:
             raise ConfigError("segment_frames must be >= 1")
         if not 0 < self.angle_span_deg <= 90:
             raise ConfigError("angle_span_deg must lie in (0, 90]")
+
+    def evaluated_angle_bins(self, bins: int) -> int:
+        """Angle-grid density under the zoom refinement.
+
+        ``zoom_factor`` 2 (the paper's setting) evaluates the full
+        ``bins`` grid; factor 1 halves the evaluated density (plain FFT
+        resolution) and the spectrum is repeated up to ``bins`` to keep
+        the cube size fixed -- this is what the zoom-FFT ablation
+        compares.
+        """
+        return min(max(2, (bins * self.zoom_factor) // 2), bins)
 
     @property
     def angle_bins_total(self) -> int:

@@ -210,8 +210,6 @@ class HandJointRegressor(Module):
             )
         joints = self.model_config.num_joints
         if segments.shape[0] == 0:
-            # An empty micro-batch (e.g. every window was served from
-            # the cache) regresses to an empty prediction.
             return np.zeros((0, joints, 3), dtype=np.float32)
         plan = self.compiled() if use_compiled else None
         was_training = self.training

@@ -127,8 +127,8 @@ class AngleProcessor:
     def __init__(self, array: VirtualArray, dsp: DspConfig) -> None:
         self.array = array
         self.dsp = dsp
-        az_eval = self._effective_bins(dsp.azimuth_bins, dsp.zoom_factor)
-        el_eval = self._effective_bins(dsp.elevation_bins, dsp.zoom_factor)
+        az_eval = dsp.evaluated_angle_bins(dsp.azimuth_bins)
+        el_eval = dsp.evaluated_angle_bins(dsp.elevation_bins)
         span = dsp.angle_span_rad
         self.azimuth_grid = np.linspace(-span, span, az_eval)
         self.elevation_grid = np.linspace(-span, span, el_eval)
@@ -181,18 +181,6 @@ class AngleProcessor:
             return grid.copy()
         return np.repeat(grid, bins // len(grid))
 
-    @staticmethod
-    def _effective_bins(bins: int, zoom_factor: int) -> int:
-        """Grid density under the zoom refinement.
-
-        ``zoom_factor`` 2 (the paper's setting) evaluates the full
-        ``bins`` grid; factor 1 halves the evaluated density (plain FFT
-        resolution) and the spectrum is later repeated to keep the cube
-        size fixed -- this is what the zoom-FFT ablation compares.
-        """
-        evaluated = max(2, (bins * zoom_factor) // 2)
-        return min(evaluated, bins)
-
     def spectra(self, data: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Azimuth and elevation magnitude spectra of ``data``.
 
@@ -241,12 +229,10 @@ class AngleProcessor:
 
     @staticmethod
     def _upsample(spectrum: np.ndarray, bins: int) -> np.ndarray:
-        """Nearest-neighbour repeat up to ``bins`` rows (zoom ablation)."""
+        """Nearest-neighbour repeat up to ``bins`` rows (zoom ablation;
+        :class:`~repro.config.DspConfig` guarantees ``bins`` is a
+        multiple of the evaluated grid)."""
         current = spectrum.shape[0]
         if current == bins:
             return spectrum
-        if bins % current != 0:
-            raise SignalProcessingError(
-                "angle bins must be a multiple of the evaluated grid"
-            )
         return np.repeat(spectrum, bins // current, axis=0)

@@ -280,7 +280,6 @@ def worker_main(
                     frame_id=frame_id,
                     session=result.session_id,
                     batch=result.batch_size,
-                    cached=result.cached,
                     batch_wait_s=max(0.0, step_start - ctx[2]),
                 )
             _push_blocking(

@@ -16,8 +16,9 @@ the classic serving-side optimisations:
   request, a liveness pass computes each buffer's ``[first, last]`` op
   interval, and greedy interval-graph coloring packs the buffers into a
   small set of reused slabs (:class:`MemoryPlan` / :class:`PlannedArena`),
-  typically a large cut versus the one-buffer-per-request
-  :class:`BufferArena`;
+  typically a large cut versus one buffer per request. Every execution
+  -- ``run``, ``calibrate`` and ``profile`` -- goes through a planned
+  arena;
 * **quantized execution modes** -- ``precision="float16"`` rounds GEMM
   weights and outputs through the float16 grid; ``precision="int8"``
   runs symmetric per-channel weight quantization with per-tensor
@@ -97,39 +98,6 @@ def _sigmoid_inplace(x: np.ndarray) -> np.ndarray:
     x += 1.0
     np.reciprocal(x, out=x)
     return x
-
-
-class BufferArena:
-    """Per-execution scratch buffers keyed by ``(op id, tag)``.
-
-    A buffer is reallocated only when its requested shape or dtype
-    changes, so a serving loop with a stable batch shape reuses every
-    intermediate. ``zero=True`` buffers are zero-filled once at
-    allocation; ops relying on it only ever write the same positions
-    (padding interiors, upsample lattices), so the zeros persist.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: Dict[Tuple, np.ndarray] = {}
-
-    def get(
-        self, key: Tuple, shape: Tuple[int, ...], dtype,
-        zero: bool = False,
-    ) -> np.ndarray:
-        buf = self._buffers.get(key)
-        if buf is None or buf.shape != tuple(shape) or buf.dtype != dtype:
-            buf = (
-                np.zeros(shape, dtype) if zero else np.empty(shape, dtype)
-            )
-            self._buffers[key] = buf
-        return buf
-
-    @property
-    def nbytes(self) -> int:
-        return sum(buf.nbytes for buf in self._buffers.values())
-
-    def __len__(self) -> int:
-        return len(self._buffers)
 
 
 class ExecContext:
@@ -980,9 +948,9 @@ class MemoryPlan:
 
     ``slot_sizes`` are the byte sizes of the shared slabs;
     ``assignments`` maps each arena key to ``(slot, shape, dtype,
-    zero)``. ``arena_bytes`` is what the one-buffer-per-request
-    :class:`BufferArena` would have allocated for the same run, so
-    ``planned_bytes / arena_bytes`` is the packing ratio.
+    zero)``. ``arena_bytes`` is what one buffer per request would have
+    allocated for the same run, so ``planned_bytes / arena_bytes`` is
+    the packing ratio.
     """
 
     def __init__(
@@ -1085,11 +1053,11 @@ def _color_buffers(
 class PlannedArena:
     """Executes a :class:`MemoryPlan`: pre-built views over shared slabs.
 
-    ``zero=True`` buffers are re-zeroed on *every* acquisition -- unlike
-    :class:`BufferArena` the underlying slab is shared, so zeros from a
-    previous op do not persist. Requests the plan has never seen (shape
-    drift, new op) fall back to a private :class:`BufferArena` instead
-    of corrupting a slab.
+    ``zero=True`` buffers are re-zeroed on *every* acquisition: the
+    underlying slab is shared, so zeros from a previous op do not
+    persist. A request the plan has never seen (shape drift, new op)
+    raises :class:`~repro.errors.InferenceCompileError` instead of
+    corrupting a slab; serving then degrades to the eager forward.
     """
 
     def __init__(self, plan: MemoryPlan) -> None:
@@ -1101,30 +1069,25 @@ class PlannedArena:
         for key, (slot, shape, dtype, zero) in plan.assignments.items():
             view = np.ndarray(shape, dtype=dtype,
                               buffer=self._slabs[slot])
-            self._views[key] = (view, zero)
-        self._overflow: Optional[BufferArena] = None
+            self._views[key] = view
 
     def get(
         self, key: Tuple, shape: Tuple[int, ...], dtype,
         zero: bool = False,
     ) -> np.ndarray:
-        entry = self._views.get(key)
-        if entry is not None:
-            view, planned_zero = entry
-            if view.shape == tuple(shape) and view.dtype == dtype:
-                if zero:
-                    view.fill(0)
-                return view
-        if self._overflow is None:
-            self._overflow = BufferArena()
-        return self._overflow.get(key, shape, dtype, zero)
+        view = self._views.get(key)
+        if view is None or view.shape != tuple(shape) or view.dtype != dtype:
+            raise InferenceCompileError(
+                f"memory plan {self.plan.signature} has no buffer for "
+                f"{key} {tuple(shape)} {np.dtype(dtype)}"
+            )
+        if zero:
+            view.fill(0)
+        return view
 
     @property
     def nbytes(self) -> int:
-        total = sum(slab.nbytes for slab in self._slabs)
-        if self._overflow is not None:
-            total += self._overflow.nbytes
-        return total
+        return sum(slab.nbytes for slab in self._slabs)
 
 
 # ----------------------------------------------------------------------
@@ -1286,14 +1249,12 @@ class ForwardPlan:
         self.out_reg = out_reg
 
     def execute(
-        self, x: np.ndarray, ctx,
+        self, x: np.ndarray, ctx: ExecContext,
         profile: Optional[Dict[int, float]] = None,
     ) -> np.ndarray:
-        """Run the op list; ``ctx`` is an :class:`ExecContext` (a bare
-        arena is accepted for backward compatibility). With ``profile``
-        given, per-op wall time accumulates into it keyed by op id."""
-        if not isinstance(ctx, ExecContext):
-            ctx = ExecContext(ctx)
+        """Run the op list under ``ctx`` (an :class:`ExecContext`). With
+        ``profile`` given, per-op wall time accumulates into it keyed by
+        op id."""
         regs: List[Optional[np.ndarray]] = [None] * self.num_regs
         regs[0] = x
         if profile is None:
@@ -1315,7 +1276,7 @@ class ForwardPlan:
 
     # -- calibration ----------------------------------------------------
     def record_ranges(
-        self, x: np.ndarray, arena: BufferArena,
+        self, x: np.ndarray, ctx: ExecContext,
         ranges: Dict[int, float],
     ) -> np.ndarray:
         """Float32 execution that records per-register |activation| max.
@@ -1326,7 +1287,6 @@ class ForwardPlan:
         """
         regs: List[Optional[np.ndarray]] = [None] * self.num_regs
         regs[0] = x
-        ctx = ExecContext(arena)
         self._observe(ranges, 0, x)
         for op in self.ops:
             op.run(regs, ctx)
@@ -1414,11 +1374,8 @@ class CompiledModel:
             if module is not None else []
         )
         self._version = self._param_version()
-        self._arena = BufferArena()  # legacy path (use_memory_plan=False)
-        self._shard_arenas: List[BufferArena] = []
         self._executor: Optional[ThreadPoolExecutor] = None
         self._lock = threading.Lock()
-        self.use_memory_plan = True
         self.act_ranges: Dict[int, float] = {}
         self._memory_plans: Dict[Tuple, MemoryPlan] = {}
         self._planned_arenas: Dict[Tuple, PlannedArena] = {}
@@ -1456,36 +1413,53 @@ class CompiledModel:
                 )
             return self._executor
 
-    def _legacy_arena(self, slot: int) -> BufferArena:
-        if slot == 0:
-            return self._arena
-        with self._lock:
-            while len(self._shard_arenas) < slot:
-                self._shard_arenas.append(BufferArena())
-            return self._shard_arenas[slot - 1]
-
     def _execute(
         self, x: np.ndarray, slot: int, precision: str
     ) -> np.ndarray:
-        scales = self.act_ranges if precision == "int8" else None
-        if not self.use_memory_plan:
-            ctx = ExecContext(self._legacy_arena(slot), precision, scales)
-            return self.plan.execute(x, ctx)
+        """One pass over ``x`` in shard ``slot``'s planned arena.
+
+        The first call per signature is the planner's probe: it
+        records and colors buffer lifetimes and returns the probe's
+        output, so that call does not execute twice.
+        """
         sig = (tuple(x.shape), str(x.dtype), precision)
         mplan = self._memory_plans.get(sig)
         if mplan is None:
-            mplan, out = self.plan.plan_memory(x, precision, scales)
-            with self._lock:
-                self._memory_plans.setdefault(sig, mplan)
-                while len(self._memory_plans) > self._MAX_MEMORY_PLANS:
-                    oldest = next(iter(self._memory_plans))
-                    if oldest == sig:
-                        break
-                    del self._memory_plans[oldest]
-            return out
-        arena_key = (slot, sig)
+            return self._plan_signature(x, sig)[1]
+        return self.plan.execute(x, self._context(mplan, slot))
+
+    def _planned_context(
+        self, x: np.ndarray, precision: str
+    ) -> ExecContext:
+        """Slot 0's planned-arena context for ``x``, planning first if
+        the signature is new (the probe's output is discarded)."""
+        sig = (tuple(x.shape), str(x.dtype), precision)
+        mplan = self._memory_plans.get(sig)
+        if mplan is None:
+            mplan = self._plan_signature(x, sig)[0]
+        return self._context(mplan, 0)
+
+    def _plan_signature(
+        self, x: np.ndarray, sig: Tuple
+    ) -> Tuple[MemoryPlan, np.ndarray]:
+        precision = sig[2]
+        mplan, out = self.plan.plan_memory(
+            x, precision, self._scales(precision)
+        )
+        with self._lock:
+            mplan = self._memory_plans.setdefault(sig, mplan)
+            while len(self._memory_plans) > self._MAX_MEMORY_PLANS:
+                oldest = next(iter(self._memory_plans))
+                if oldest == sig:
+                    break
+                del self._memory_plans[oldest]
+        return mplan, out
+
+    def _context(self, mplan: MemoryPlan, slot: int) -> ExecContext:
+        """Shard ``slot``'s planned arena for ``mplan``."""
+        arena_key = (slot, mplan.signature)
         arena = self._planned_arenas.get(arena_key)
-        if arena is None:
+        if arena is None or arena.plan is not mplan:
             arena = PlannedArena(mplan)
             with self._lock:
                 self._planned_arenas[arena_key] = arena
@@ -1496,7 +1470,11 @@ class CompiledModel:
                     if oldest == arena_key:
                         break
                     del self._planned_arenas[oldest]
-        return self.plan.execute(x, ExecContext(arena, precision, scales))
+        precision = mplan.signature[2]
+        return ExecContext(arena, precision, self._scales(precision))
+
+    def _scales(self, precision: str) -> Optional[Dict[int, float]]:
+        return self.act_ranges if precision == "int8" else None
 
     def seed_memory_plan(self, mplan: MemoryPlan) -> None:
         """Install a memory plan restored from an artifact."""
@@ -1511,20 +1489,29 @@ class CompiledModel:
         the way :meth:`run` inputs are). Ranges accumulate across calls,
         widening only. Returns the updated range table that int8
         execution will use for per-tensor activation fake-quant.
+
+        Calibration runs float32 through the same planned arenas as
+        :meth:`run`. New ranges can change which registers int8
+        fake-quantizes, so the int8 memory plans are dropped and
+        replanned on the next int8 call.
         """
         self._refresh()
-        arena = BufferArena()
         ranges = dict(self.act_ranges)
         seen = 0
         for batch in batches:
             x = np.asarray(batch, dtype=np.float32)
-            self.plan.record_ranges(x, arena, ranges)
+            ctx = self._planned_context(x, "float32")
+            self.plan.record_ranges(x, ctx, ranges)
             seen += 1
         if not seen:
             raise QuantizationError(
                 "calibrate() needs at least one input batch"
             )
-        self.act_ranges = ranges
+        with self._lock:
+            self.act_ranges = ranges
+            # Arenas built from a dropped plan are rebuilt on next use.
+            for sig in [k for k in self._memory_plans if k[2] == "int8"]:
+                del self._memory_plans[sig]
         obs_metrics.counter("model.plan.calibrations").increment()
         return ranges
 
@@ -1581,15 +1568,17 @@ class CompiledModel:
     ) -> List[Dict[str, Any]]:
         """Per-op cumulative wall time over ``repeats`` executions.
 
+        Runs through the same planned arena as :meth:`run`, after one
+        untimed warm-up pass, so the rows time the steady state.
+
         Returns rows sorted by total time descending:
         ``{"op_id", "op", "total_s", "share"}``.
         """
         x = np.asarray(x)
         self._refresh()
-        scales = self.act_ranges if precision == "int8" else None
-        arena = BufferArena()
+        ctx = self._planned_context(x, precision)
+        self.plan.execute(x, ctx)  # warm-up: time the steady state
         totals: Dict[int, float] = {}
-        ctx = ExecContext(arena, precision, scales)
         for _ in range(max(1, repeats)):
             self.plan.execute(x, ctx, profile=totals)
         names = {op.op_id: op.name for op in self.plan.ops}
@@ -1621,10 +1610,10 @@ class CompiledModel:
                 "memory_plans": len(plans),
             }
         return {
-            "arena_bytes": self._arena.nbytes,
-            "planned_bytes": self._arena.nbytes,
+            "arena_bytes": 0,
+            "planned_bytes": 0,
             "planned_slots": 0,
-            "buffers": len(self._arena),
+            "buffers": 0,
             "memory_plans": 0,
         }
 
@@ -1640,7 +1629,6 @@ class CompiledModel:
             "planned_bytes": mem["planned_bytes"],
             "planned_slots": mem["planned_slots"],
             "memory_plans": mem["memory_plans"],
-            "shard_arenas": len(self._shard_arenas),
             "calibrated": bool(self.act_ranges),
         }
 

@@ -1,7 +1,7 @@
 """Unified metrics for every layer of the pipeline.
 
-This module is the promoted home of what used to be
-``repro.serving.metrics`` (that path remains a re-export shim): a
+This module is the promoted home of the inference server's original
+registry, widened to the whole pipeline: a
 deliberately small, dependency-free registry in the spirit of Prometheus
 client libraries -- counters (monotonic), gauges (set/sample), latency
 histograms with streaming percentile summaries, and a bounded

@@ -8,7 +8,7 @@ single :class:`~repro.core.regressor.HandJointRegressor`:
 * :class:`RequestQueue` -- bounded admission with explicit backpressure
   (``block`` / ``drop-oldest`` / ``reject``) and per-session fairness;
 * :class:`MicroBatcher` -- fuses ready windows across sessions into one
-  batched forward pass, with a content-hash LRU :class:`SegmentCache`;
+  batched forward pass (one forward row per admitted window);
 * :class:`MetricsRegistry` -- counters, gauges, latency histograms and
   a structured event log, snapshotted by ``InferenceServer.stats()``;
 * :class:`InferenceServer` -- the composition, driven by the
@@ -25,7 +25,6 @@ healthy/degraded/unhealthy ladder reported by
 """
 
 from repro.serving.batcher import MicroBatcher, PoseResult
-from repro.serving.cache import SegmentCache, segment_key
 from repro.obs.metrics import (
     Counter,
     EventLog,
@@ -49,9 +48,7 @@ __all__ = [
     "POLICIES",
     "PoseResult",
     "RequestQueue",
-    "SegmentCache",
     "SegmentRequest",
     "ServingConfig",
     "Session",
-    "segment_key",
 ]

@@ -4,8 +4,9 @@ Per-session streaming inference runs the network with batch size 1 and
 pays the full python/layer dispatch overhead per frame. The batcher stacks
 every ready window across sessions into a single ``(B, st, V, D, A)``
 tensor and regresses all poses in one call -- the classic serving trick
-that turns per-request overhead into per-batch overhead. An optional
-content-hash cache short-circuits windows the model has already seen.
+that turns per-request overhead into per-batch overhead. Every admitted
+window is one forward row: live radar frames carry fresh noise, so no
+two served windows repeat (DESIGN.md "Serving data path").
 
 Failure handling is per-request, not per-batch (see DESIGN.md
 "Resilience"): malformed windows are quarantined into the
@@ -40,7 +41,6 @@ from repro.resilience import (
     FaultInjector,
     RetryPolicy,
 )
-from repro.serving.cache import SegmentCache, segment_key
 from repro.obs.metrics import MetricsRegistry
 from repro.serving.session import SegmentRequest
 
@@ -61,7 +61,6 @@ class PoseResult:
     frame_index: int
     joints: np.ndarray
     latency_s: float
-    cached: bool = False
     batch_size: int = 1
     corr_id: str = ""
 
@@ -76,11 +75,8 @@ class MicroBatcher:
         leading batch dimension).
     max_batch_size:
         Upper bound on the number of windows fused into one forward.
-    cache:
-        Optional :class:`SegmentCache`; byte-identical windows skip the
-        network entirely.
     metrics:
-        Optional registry receiving batch/latency/cache instruments.
+        Optional registry receiving batch/latency instruments.
     shards:
         Optional thread count for sharded compiled execution: each
         fused batch is split across this many workers inside
@@ -104,7 +100,6 @@ class MicroBatcher:
         self,
         regressor: HandJointRegressor,
         max_batch_size: int = 16,
-        cache: Optional[SegmentCache] = None,
         metrics: Optional[MetricsRegistry] = None,
         shards: Optional[int] = None,
         breaker: Optional[CircuitBreaker] = None,
@@ -119,7 +114,6 @@ class MicroBatcher:
             raise ServingError("shards must be >= 0")
         self.regressor = regressor
         self.max_batch_size = max_batch_size
-        self.cache = cache
         self.metrics = metrics
         self.shards = shards or None
         # Compiled-plan execution mode; the eager fallback in the
@@ -241,96 +235,37 @@ class MicroBatcher:
         if not requests:
             return []
 
-        joints_by_slot: List[Optional[np.ndarray]] = [None] * len(requests)
-        cached_flags = [False] * len(requests)
-        miss_slots: List[int] = []
-        keys: List[Optional[str]] = [None] * len(requests)
-        # key -> slots that ride along on the first occurrence's forward
-        # row (within-batch dedup: identical windows run the net once).
-        followers: dict = {}
-
-        if self.cache is not None:
-            for slot, request in enumerate(requests):
-                key = segment_key(request.segment)
-                keys[slot] = key
-                if key in followers:
-                    followers[key].append(slot)
-                    cached_flags[slot] = True
-                    continue
-                hit = self.cache.get(key)
-                if hit is not None:
-                    joints_by_slot[slot] = hit
-                    cached_flags[slot] = True
-                else:
-                    followers[key] = []
-                    miss_slots.append(slot)
-        else:
-            miss_slots = list(range(len(requests)))
-
-        failed_slots: List[int] = []
-        if miss_slots:
-            with trace.span(
-                "serving.batch.forward", batch=len(miss_slots)
-            ):
-                stacked = np.stack(
-                    [requests[slot].segment for slot in miss_slots]
-                )
-                try:
-                    predictions = self._forward(stacked)
-                except _TRANSIENT_FORWARD_ERRORS:
-                    predictions = None
-                    if self.metrics is not None:
-                        self.metrics.counter(
-                            "batch_forward_failures"
-                        ).increment()
-            if predictions is None:
-                # The fused forward died: salvage request-by-request so
-                # one poisoned (or unlucky) window cannot take down the
-                # whole batch.
-                predictions = self._salvage(
-                    requests, miss_slots, failed_slots
-                )
-            for row, slot in enumerate(miss_slots):
-                if predictions[row] is None:
-                    continue
-                joints_by_slot[slot] = predictions[row]
-                if self.cache is not None and keys[slot] is not None:
-                    self.cache.put(keys[slot], predictions[row])
-                    for follower in followers.get(keys[slot], ()):
-                        joints_by_slot[follower] = predictions[row]
-            # Followers of a failed leader never got a prediction.
-            for slot, request in enumerate(requests):
-                if joints_by_slot[slot] is None and slot not in miss_slots:
-                    failed_slots.append(slot)
-                    self._quarantine(
-                        request, "forward",
-                        "deduplicated leader request failed",
-                    )
+        with trace.span("serving.batch.forward", batch=len(requests)):
+            stacked = np.stack([request.segment for request in requests])
+            try:
+                predictions = self._forward(stacked)
+            except _TRANSIENT_FORWARD_ERRORS:
+                predictions = None
+                if self.metrics is not None:
+                    self.metrics.counter("batch_forward_failures").increment()
+        if predictions is None:
+            # The fused forward died: salvage request-by-request so one
+            # poisoned (or unlucky) window cannot take down the whole
+            # batch.
+            predictions = self._salvage(requests)
 
         now = time.perf_counter()
         results = [
             PoseResult(
                 session_id=request.session_id,
                 frame_index=request.frame_index,
-                joints=joints_by_slot[slot],
+                joints=joints,
                 latency_s=now - request.enqueued_at,
-                cached=cached_flags[slot],
                 batch_size=len(requests),
                 corr_id=request.corr_id,
             )
-            for slot, request in enumerate(requests)
-            if joints_by_slot[slot] is not None
+            for request, joints in zip(requests, predictions)
+            if joints is not None
         ]
 
         if self.metrics is not None:
-            served_cached = sum(
-                1 for slot, flag in enumerate(cached_flags)
-                if flag and joints_by_slot[slot] is not None
-            )
             self.metrics.counter("batches").increment()
             self.metrics.counter("poses").increment(len(results))
-            self.metrics.counter("cache_hits").increment(served_cached)
-            self.metrics.counter("cache_misses").increment(len(miss_slots))
             self.metrics.histogram("batch_size").observe(len(requests))
             latency = self.metrics.histogram("latency_s")
             for result in results:
@@ -338,27 +273,22 @@ class MicroBatcher:
             self.metrics.events.emit(
                 "batch_served",
                 batch_size=len(requests),
-                cached=served_cached,
-                failed=len(failed_slots),
+                failed=len(requests) - len(results),
                 corr_ids=[result.corr_id for result in results],
             )
         return results
 
     def _salvage(
-        self,
-        requests: Sequence[SegmentRequest],
-        miss_slots: List[int],
-        failed_slots: List[int],
+        self, requests: Sequence[SegmentRequest]
     ) -> List[Optional[np.ndarray]]:
         """Per-request recovery after a failed batched forward.
 
-        Each miss runs alone under the retry policy; a request that
+        Each request runs alone under the retry policy; a request that
         still fails is quarantined and reported as ``None`` in the
-        returned row list (aligned with ``miss_slots``).
+        returned row list (aligned with ``requests``).
         """
         rows: List[Optional[np.ndarray]] = []
-        for slot in miss_slots:
-            request = requests[slot]
+        for request in requests:
             try:
                 single = self.retry.call(
                     self._forward,
@@ -369,7 +299,6 @@ class MicroBatcher:
                 if self.metrics is not None:
                     self.metrics.counter("forward_salvaged").increment()
             except RetryExhaustedError as error:
-                failed_slots.append(slot)
                 self._quarantine(request, "forward", str(error))
                 rows.append(None)
         return rows

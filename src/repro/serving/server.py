@@ -4,7 +4,7 @@ Ties the serving pieces together::
 
     client frames -> Session (sliding window, shared CubeBuilder)
                   -> RequestQueue (bounded, backpressure, fairness)
-                  -> MicroBatcher (one batched forward + LRU cache)
+                  -> MicroBatcher (one batched forward, one row per window)
                   -> PoseResult (+ Metrics / EventLog)
 
 The server is synchronous and single-consumer by design: ``submit``
@@ -40,7 +40,6 @@ from repro.resilience import (
     HealthState,
 )
 from repro.serving.batcher import MicroBatcher, PoseResult
-from repro.serving.cache import SegmentCache
 from repro.obs.metrics import MetricsRegistry
 from repro.serving.queue import RequestQueue
 from repro.serving.session import SegmentRequest, Session
@@ -62,8 +61,6 @@ class ServingConfig:
     queue_capacity: int = 64
     policy: str = "block"
     block_timeout_s: float = 1.0
-    cache_capacity: int = 256
-    enable_cache: bool = True
     hop_frames: int = 1
     max_sessions: int = 1024
     shard_threads: int = 0
@@ -134,11 +131,6 @@ class InferenceServer:
             block_timeout_s=self.config.block_timeout_s,
             metrics=self.metrics,
         )
-        cache = (
-            SegmentCache(self.config.cache_capacity)
-            if self.config.enable_cache
-            else None
-        )
         self.dead_letters = DeadLetterLog(
             capacity=self.config.dead_letter_capacity
         )
@@ -151,7 +143,6 @@ class InferenceServer:
         self.batcher = MicroBatcher(
             regressor,
             max_batch_size=self.config.max_batch_size,
-            cache=cache,
             metrics=self.metrics,
             shards=self.config.shard_threads,
             breaker=self.breaker,
@@ -381,7 +372,7 @@ class InferenceServer:
 
     # -- observability --------------------------------------------------
     def stats(self) -> Dict[str, Any]:
-        """One snapshot of every counter, gauge, histogram and cache."""
+        """One snapshot of every counter, gauge, histogram and queue."""
         snapshot = self.metrics.snapshot()
         snapshot["queue"] = {
             "depth": len(self.queue),
@@ -391,8 +382,6 @@ class InferenceServer:
             "rejected": self.queue.rejected,
             "by_session": self.queue.depth_by_session(),
         }
-        if self.batcher.cache is not None:
-            snapshot["cache"] = self.batcher.cache.stats()
         snapshot["plan_cache"] = PLAN_CACHE.stats()
         snapshot["health"] = self.health().value
         snapshot["breaker"] = self.breaker.stats()

@@ -73,6 +73,12 @@ def test_dsp_validation():
         DspConfig(range_bins=1)
     with pytest.raises(ConfigError):
         DspConfig(zoom_factor=0)
+    # zoom_factor=1 evaluates a 7-point grid that 15 bins cannot repeat.
+    with pytest.raises(ConfigError, match="azimuth_bins=15"):
+        DspConfig(azimuth_bins=15, zoom_factor=1)
+    with pytest.raises(ConfigError, match="elevation_bins=9"):
+        DspConfig(elevation_bins=9, zoom_factor=1)
+    assert DspConfig(azimuth_bins=15, zoom_factor=2).azimuth_bins == 15
     with pytest.raises(ConfigError):
         DspConfig(segment_frames=0)
     with pytest.raises(ConfigError):

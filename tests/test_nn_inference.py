@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.regressor import HandJointRegressor
 from repro.errors import InferenceCompileError
-from repro.nn.inference import BufferArena, compile_model
+from repro.nn.inference import MemoryPlan, compile_model
 from repro.nn.layers import (
     BatchNorm2d,
     Conv2d,
@@ -211,18 +211,6 @@ def test_refold_counter_increments_on_weight_change(
     assert obs_metrics.counter("model.plan.refolds").value == refolds + 1
 
 
-def test_buffer_arena_reuses_until_shape_changes():
-    arena = BufferArena()
-    a = arena.get(("op", "buf"), (4, 4), np.float32)
-    b = arena.get(("op", "buf"), (4, 4), np.float32)
-    assert a is b
-    c = arena.get(("op", "buf"), (2, 4), np.float32)
-    assert c is not a and c.shape == (2, 4)
-    d = arena.get(("op", "zero"), (3,), np.float32, zero=True)
-    assert np.all(d == 0.0)
-    assert len(arena) == 2 and arena.nbytes == c.nbytes + d.nbytes
-
-
 def test_plan_validates_input_shape(regressor, small_dsp, rng):
     from repro.errors import ModelError
 
@@ -276,3 +264,55 @@ def test_profile_reports_per_op_timings(regressor, small_dsp, rng):
     totals = [row["total_s"] for row in rows]
     assert totals == sorted(totals, reverse=True)
     assert abs(sum(row["share"] for row in rows) - 1.0) < 1e-6
+
+
+def test_plan_missing_a_buffer_raises(regressor, small_dsp, rng):
+    """An artifact plan without a buffer the ops request is an error,
+    not a silent private allocation."""
+    x = regressor.normalize_inputs(_segments(rng, small_dsp, batch=2))
+    source = compile_model(regressor)
+    expected = source.run(x)
+    (mplan,) = source._memory_plans.values()
+    meta = mplan.to_meta()
+    meta["assignments"] = meta["assignments"][1:]
+    broken = compile_model(regressor)
+    broken.seed_memory_plan(MemoryPlan.from_meta(meta))
+    with pytest.raises(InferenceCompileError, match="no buffer"):
+        broken.run(x)
+    intact = compile_model(regressor)
+    intact.seed_memory_plan(MemoryPlan.from_meta(mplan.to_meta()))
+    assert np.array_equal(intact.run(x), expected)
+
+
+def test_profile_reuses_the_run_memory_plan(regressor, small_dsp, rng):
+    x = regressor.normalize_inputs(_segments(rng, small_dsp, batch=2))
+    plan = regressor.compiled()
+    plan.run(x)
+    before = plan.stats()["memory_plans"]
+    plan.profile(x)
+    assert plan.stats()["memory_plans"] == before
+    # A new shape is planned once and then profiled in its arena.
+    plan.profile(x[:1])
+    assert plan.stats()["memory_plans"] == before + 1
+
+
+def test_recalibration_replans_int8(regressor, small_dsp, rng):
+    """Ranges recorded later can switch on fake-quant for a register
+    the first int8 plan skipped; the int8 plan is rebuilt for them."""
+    x = regressor.normalize_inputs(_segments(rng, small_dsp, batch=2))
+    # A non-zero output bias gives an all-zero input a non-empty range
+    # table in which the input register is still missing.
+    bias = dict(regressor.named_parameters())["head.2.bias"]
+    bias.data[...] = 0.5
+    plan = compile_model(regressor)
+    plan.calibrate([np.zeros_like(x)])
+    assert plan.act_ranges and 0 not in plan.act_ranges
+    plan.run(x, precision="int8")
+    plan.calibrate([x])
+    reference = compile_model(regressor)
+    reference.calibrate([np.zeros_like(x)])
+    reference.calibrate([x])
+    assert np.array_equal(
+        plan.run(x, precision="int8"),
+        reference.run(x, precision="int8"),
+    )

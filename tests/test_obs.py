@@ -312,18 +312,9 @@ def test_event_log_tracks_dropped_and_exposes_it():
     assert "mmhand_events_emitted_total 10" in text
 
 
-def test_serving_metrics_shim_reexports():
-    import importlib
-    import sys
-
-    sys.modules.pop("repro.serving.metrics", None)
-    with pytest.warns(DeprecationWarning):
-        shim = importlib.import_module("repro.serving.metrics")
-
-    assert shim.MetricsRegistry is MetricsRegistry
-    assert shim.Histogram is Histogram
+def test_histogram_rejects_zero_capacity():
     with pytest.raises(ServingError):
-        shim.Histogram("h", capacity=0)
+        Histogram("h", capacity=0)
 
 
 def test_global_registry_facade():

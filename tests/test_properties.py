@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) of core invariants: autograd
 linearity, rotation round-trips, kinematic rigidity, LBS consistency,
-DSP energy relationships and metric bounds."""
+DSP energy relationships, angle-bin config validity and metric
+bounds."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.config import DspConfig, RadarConfig
+from repro.dsp.radar_cube import CubeBuilder
+from repro.errors import ConfigError
 from repro.eval.metrics import auc, mpjpe, pck, pck_curve
 from repro.hand.joints import FINGER_CHAINS, FINGERS
 from repro.hand.kinematics import (
@@ -226,3 +230,39 @@ def test_auc_bounded(a, b):
 def test_mpjpe_triangle_with_offset(a):
     offset = np.array([0.02, 0.0, 0.0])
     assert mpjpe(a + offset, a) == pytest.approx(20.0, rel=1e-6)
+
+
+# ----------------------------------------------------------------------
+# Angle-bin configs
+# ----------------------------------------------------------------------
+@given(
+    st.integers(min_value=2, max_value=24),
+    st.integers(min_value=2, max_value=24),
+    st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=40, deadline=None)
+def test_angle_bin_config_rejected_or_builds_matching_cube(
+    azimuth_bins, elevation_bins, zoom_factor
+):
+    """A DspConfig either refuses its angle bins at construction or
+    builds cubes whose angle axes match the values' angle axis."""
+    try:
+        dsp = DspConfig(
+            range_bins=4, doppler_bins=2, azimuth_bins=azimuth_bins,
+            elevation_bins=elevation_bins, zoom_factor=zoom_factor,
+            segment_frames=1,
+        )
+    except ConfigError:
+        return
+    radar = RadarConfig(samples_per_chirp=8, chirp_loops=2)
+    builder = CubeBuilder(radar, dsp)
+    raw = np.random.default_rng(0).normal(
+        size=(
+            radar.num_virtual_antennas, radar.chirp_loops,
+            radar.samples_per_chirp,
+        )
+    )
+    cube = builder.build(raw)
+    assert cube.values.shape[-1] == azimuth_bins + elevation_bins
+    assert len(cube.azimuth_axis_rad) == azimuth_bins
+    assert len(cube.elevation_axis_rad) == elevation_bins

@@ -1,6 +1,6 @@
 """Tests of the multi-session inference service runtime
 (:mod:`repro.serving`): session lifecycle, micro-batch equivalence,
-backpressure policies, cache accounting and metrics."""
+backpressure policies, the compiled-plan fallback and metrics."""
 
 import threading
 import time
@@ -13,6 +13,7 @@ from repro.core.streaming import StreamingEstimator
 from repro.dsp.radar_cube import CubeBuilder
 from repro.errors import (
     FrameShapeError,
+    InferenceCompileError,
     QueueFullError,
     ReproError,
     ServingError,
@@ -26,11 +27,9 @@ from repro.serving import (
     MetricsRegistry,
     MicroBatcher,
     RequestQueue,
-    SegmentCache,
     SegmentRequest,
     ServingConfig,
     Session,
-    segment_key,
 )
 
 
@@ -196,7 +195,7 @@ def test_server_matches_streaming_estimator(stack):
 
     server = InferenceServer(
         builder, regressor,
-        ServingConfig(max_batch_size=num_sessions, enable_cache=False),
+        ServingConfig(max_batch_size=num_sessions),
     )
     for i in range(num_sessions):
         server.open_session(f"c{i}")
@@ -319,7 +318,6 @@ def test_server_drop_oldest_backpressure(stack):
         builder, regressor,
         ServingConfig(
             max_batch_size=2, queue_capacity=2, policy="drop-oldest",
-            enable_cache=False,
         ),
     )
     sid = server.open_session()
@@ -343,7 +341,7 @@ def test_server_block_policy_serves_inline(stack):
         builder, regressor,
         ServingConfig(
             max_batch_size=2, queue_capacity=2, policy="block",
-            block_timeout_s=0.2, enable_cache=False,
+            block_timeout_s=0.2,
         ),
     )
     sid = server.open_session()
@@ -365,7 +363,6 @@ def test_server_reject_policy_raises(stack):
         builder, regressor,
         ServingConfig(
             max_batch_size=2, queue_capacity=1, policy="reject",
-            enable_cache=False,
         ),
     )
     sid = server.open_session()
@@ -378,74 +375,56 @@ def test_server_reject_policy_raises(stack):
 
 
 # ----------------------------------------------------------------------
-# Cache
+# One forward row per window; compiled-plan fallback
 # ----------------------------------------------------------------------
-def test_segment_cache_lru_and_accounting():
-    cache = SegmentCache(capacity=2)
-    a, b, c = (np.full((2, 2), v) for v in (1.0, 2.0, 3.0))
-    ka, kb, kc = segment_key(a), segment_key(b), segment_key(c)
-    assert ka != kb != kc
-    assert cache.get(ka) is None  # miss
-    cache.put(ka, np.zeros((21, 3)))
-    cache.put(kb, np.ones((21, 3)))
-    assert cache.get(ka) is not None  # hit; refreshes recency
-    cache.put(kc, np.ones((21, 3)))  # evicts b (least recent)
-    assert cache.get(kb) is None
-    assert cache.get(kc) is not None
-    stats = cache.stats()
-    assert stats["hits"] == 2
-    assert stats["misses"] == 2
-    assert stats["evictions"] == 1
-    assert stats["size"] == 2
-    assert stats["hit_rate"] == pytest.approx(0.5)
-
-
-def test_segment_key_covers_shape_and_dtype():
-    flat = np.arange(4.0)
-    assert segment_key(flat) != segment_key(flat.reshape(2, 2))
-    assert segment_key(flat) != segment_key(flat.astype(np.float32))
-
-
-def test_server_cache_skips_network(stack):
+def test_server_replayed_capture_runs_every_row(stack):
+    """Two sessions replaying one capture get equal joints, and each
+    window is its own row of one batched forward (no dedup)."""
     builder, regressor = stack
     server = InferenceServer(
-        builder, regressor,
-        ServingConfig(max_batch_size=4, enable_cache=True),
+        builder, regressor, ServingConfig(max_batch_size=4)
     )
     a = server.open_session("a")
     b = server.open_session("b")
     raw = _raw_frames(builder, 2)
-    # Both sessions replay the identical capture.
     for frame in raw:
         server.submit(a, frame)
         server.submit(b, frame)
     results = server.drain()
     by_session = {r.session_id: r for r in results}
-    # The duplicate window rode along on the first one's forward row
-    # (within-batch dedup counts as a cache hit).
-    assert by_session["b"].cached or by_session["a"].cached
+    assert set(by_session) == {"a", "b"}
     np.testing.assert_allclose(
         by_session["a"].joints, by_session["b"].joints, atol=1e-6
     )
+    assert all(r.batch_size == 2 for r in results)
     stats = server.stats()
-    assert stats["counters"]["cache_hits"] == 1
-    assert stats["counters"]["cache_misses"] == 1
-    # A third client replaying the same capture is served entirely from
-    # the populated cache -- no forward pass at all.
-    c = server.open_session("c")
-    batches_before = server.stats()["counters"]["batches"]
-    for frame in raw:
-        server.submit(c, frame)
-    repeat = server.drain()
-    assert len(repeat) == 1
-    assert all(r.cached for r in repeat)
-    np.testing.assert_allclose(
-        repeat[0].joints, by_session["a"].joints, atol=1e-6
-    )
-    stats = server.stats()
-    assert stats["cache"]["hit_rate"] == pytest.approx(0.5)
-    # The all-cached batch still counts as a batch but runs no forward.
-    assert stats["counters"]["batches"] == batches_before + 1
+    assert stats["counters"]["batches"] == 1
+    assert stats["counters"]["poses"] == 2
+    assert "cache" not in stats
+
+
+def test_server_serves_eagerly_when_memory_plan_is_broken(stack):
+    """A memory plan missing a buffer makes the compiled run raise;
+    the breaker degrades that batch to the eager forward."""
+    builder, shared = stack
+    regressor = HandJointRegressor(shared.dsp, shared.model_config, seed=7)
+    regressor.eval()
+    requests = [_request("a", 0, seed=1), _request("b", 0, seed=2)]
+    segments = np.stack([r.segment for r in requests])
+    regressor.predict(segments)  # probe-plans this batch signature
+    compiled = regressor.compiled()
+    (mplan,) = compiled._memory_plans.values()
+    mplan.assignments.pop(next(iter(mplan.assignments)))
+    with pytest.raises(InferenceCompileError, match="no buffer"):
+        compiled.run(regressor.normalize_inputs(segments))
+
+    server = InferenceServer(builder, regressor, ServingConfig())
+    results = server.batcher.run(requests)
+    assert len(results) == 2
+    assert server.stats()["counters"]["compiled_fallbacks"] == 1
+    eager = regressor.predict(segments, use_compiled=False)
+    for result, expected in zip(results, eager):
+        np.testing.assert_allclose(result.joints, expected, atol=1e-6)
 
 
 # ----------------------------------------------------------------------
@@ -567,7 +546,7 @@ def test_server_forces_eval_mode_for_deterministic_serving(stack):
         name: buf.copy() for name, buf in regressor.named_buffers()
     }
     server = InferenceServer(
-        builder, regressor, ServingConfig(enable_cache=False)
+        builder, regressor, ServingConfig()
     )
     assert regressor.training is False
 

@@ -1,11 +1,7 @@
-"""Satellite coverage for the serving tier's accounting contracts:
-the deprecated ``repro.serving.metrics`` shim must re-export the
-unified registry (with a DeprecationWarning), and ``RequestQueue``
-loss counters must exactly match observed losses under concurrent
-multi-producer load."""
+"""Coverage for the serving tier's accounting contract:
+``RequestQueue`` loss counters must exactly match observed losses
+under concurrent multi-producer load."""
 
-import importlib
-import sys
 import threading
 
 import numpy as np
@@ -14,38 +10,6 @@ import pytest
 from repro.errors import QueueFullError
 from repro.obs.metrics import MetricsRegistry
 from repro.serving import RequestQueue, SegmentRequest
-
-
-# ----------------------------------------------------------------------
-# repro.serving.metrics deprecation shim
-# ----------------------------------------------------------------------
-
-
-def test_serving_metrics_shim_warns_and_reexports():
-    sys.modules.pop("repro.serving.metrics", None)
-    with pytest.warns(DeprecationWarning, match="repro.obs.metrics"):
-        shim = importlib.import_module("repro.serving.metrics")
-    obs = importlib.import_module("repro.obs.metrics")
-    # Same objects, not parallel copies: isinstance checks and registry
-    # identity keep working across old and new import paths.
-    for name in ("Counter", "EventLog", "Gauge", "Histogram",
-                 "MetricsRegistry"):
-        assert getattr(shim, name) is getattr(obs, name), name
-    assert set(shim.__all__) == {
-        "Counter", "EventLog", "Gauge", "Histogram", "MetricsRegistry"
-    }
-
-
-def test_serving_package_import_does_not_warn(recwarn):
-    """The repo itself no longer imports the deprecated path."""
-    for module in ("repro.serving", "repro.gateway", "repro.cli"):
-        sys.modules.pop(module, None)
-        importlib.import_module(module)
-    assert not [
-        w for w in recwarn.list
-        if issubclass(w.category, DeprecationWarning)
-        and "repro.serving.metrics" in str(w.message)
-    ]
 
 
 # ----------------------------------------------------------------------
